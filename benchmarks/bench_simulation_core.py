@@ -1,15 +1,18 @@
-"""Simulation-core benchmark: seed engine vs CSR/batched/memoized engine.
+"""Simulation-core benchmark: seed engine vs CSR/batched engine.
 
-Times ``run_view_algorithm`` three ways on the same graphs:
+Times ``run_view_algorithm`` two ways on the same graphs:
 
 * **seed** — a faithful copy of the pre-CSR implementation (per-node
   networkx BFS, per-call neighbor sorting, per-view ``Delta`` recompute);
 * **engine** — the compiled backend with batched all-nodes gathering
-  (:func:`repro.local.gather_all_views`);
-* **memoized** — the same engine with order-invariant view memoization,
-  reporting the cache hit rate (Section 8: order-isomorphic views must
-  decide identically, so repeated grid/tree/cycle neighborhoods are
-  decided once).
+  (:func:`repro.local.gather_all_views`).
+
+Outside the timed region, each case also counts its distinct
+order-isomorphism classes of views with
+:func:`repro.lower_bounds.build_lookup_table` (Section 8: an
+order-invariant algorithm is a finite table over these classes, so
+repeated grid/tree/cycle neighborhoods collapse into few entries) and
+checks that running the table reproduces the engine's outputs.
 
 Outputs are cross-checked for exact equality on every case, and the
 before/after timings plus engine counters land in a JSON report
@@ -32,7 +35,7 @@ from typing import Dict, List, Optional
 from repro.graphs import binary_tree, cycle, grid
 from repro.local import LocalGraph, run_view_algorithm
 from repro.local.views import View
-from repro.lower_bounds import canonicalize
+from repro.lower_bounds import build_lookup_table, run_lookup_table
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +113,7 @@ def _decide(view: View) -> object:
 
 
 def bench_case(name: str, graph: LocalGraph, radius: int) -> Dict[str, object]:
-    """Time seed vs engine vs memoized engine on one graph; verify outputs."""
+    """Time seed vs engine on one graph; verify outputs; count view classes."""
     t0 = time.perf_counter()
     seed_outputs = _seed_run_view_algorithm(graph, radius, _decide)
     seed_seconds = time.perf_counter() - t0
@@ -119,14 +122,11 @@ def bench_case(name: str, graph: LocalGraph, radius: int) -> Dict[str, object]:
     engine = run_view_algorithm(graph, radius, _decide)
     engine_seconds = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    memoized = run_view_algorithm(graph, radius, canonicalize(_decide))
-    memoized_seconds = time.perf_counter() - t0
-
     if engine.outputs != seed_outputs:
         raise AssertionError(f"{name}: engine outputs diverge from seed")
-    if memoized.outputs != seed_outputs:
-        raise AssertionError(f"{name}: memoized outputs diverge from seed")
+    table = build_lookup_table([graph], radius, _decide)
+    if run_lookup_table(graph, radius, table).outputs != seed_outputs:
+        raise AssertionError(f"{name}: lookup-table outputs diverge from seed")
 
     return {
         "case": name,
@@ -136,13 +136,10 @@ def bench_case(name: str, graph: LocalGraph, radius: int) -> Dict[str, object]:
         "radius": radius,
         "seed_seconds": round(seed_seconds, 6),
         "engine_seconds": round(engine_seconds, 6),
-        "memoized_seconds": round(memoized_seconds, 6),
         "speedup": round(seed_seconds / max(engine_seconds, 1e-9), 3),
         "views_per_second": round(graph.n / max(engine_seconds, 1e-9), 1),
-        "view_cache_hit_rate": round(memoized.stats.cache_hit_rate, 4),
-        "distinct_view_classes": memoized.stats.decide_calls,
+        "distinct_view_classes": len(table),
         "engine_stats": engine.stats.as_dict(),
-        "memoized_stats": memoized.stats.as_dict(),
     }
 
 
@@ -191,8 +188,7 @@ def main(argv: Optional[List[str]] = None) -> Dict[str, object]:
         print(
             f"{case['case']:>14}: seed {case['seed_seconds']:.3f}s -> "
             f"engine {case['engine_seconds']:.3f}s "
-            f"({case['speedup']:.1f}x, cache hit rate "
-            f"{case['view_cache_hit_rate']:.2%}, "
+            f"({case['speedup']:.1f}x, "
             f"{case['distinct_view_classes']} distinct view classes)"
         )
     print(f"wrote {args.out}")
@@ -221,7 +217,7 @@ def test_simulation_core_smoke(benchmark):
                 "seed_s": r["seed_seconds"],
                 "engine_s": r["engine_seconds"],
                 "speedup": r["speedup"],
-                "hit_rate": r["view_cache_hit_rate"],
+                "view_classes": r["distinct_view_classes"],
             }
             for r in rows
         ],
@@ -230,9 +226,10 @@ def test_simulation_core_smoke(benchmark):
     # the engine not to be slower than the seed on every case (shape, not
     # magnitude — machines vary).
     assert all(r["speedup"] > 1.0 for r in rows)
-    # Families with few order-isomorphism classes (cycle, tree) must hit
-    # the view cache; a grid with random identifiers legitimately may not.
-    assert any(r["view_cache_hit_rate"] > 0.1 for r in rows)
+    # Families with few order-isomorphism classes (cycle, tree) must
+    # collapse into a small lookup table; a grid with random identifiers
+    # legitimately may not.
+    assert any(r["distinct_view_classes"] <= 0.9 * r["n"] for r in rows)
 
 
 if __name__ == "__main__":

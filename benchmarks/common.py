@@ -12,8 +12,8 @@ Baseline regression mode
 ``python benchmarks/common.py --report BENCH_simulation.json --baseline
 benchmarks/baselines/simulation_core.json`` diffs a freshly produced bench
 JSON against a committed baseline.  Baselines pin the *deterministic*
-engine metrics (views gathered, BFS node-visits, decide calls, cache hit
-rates) with per-metric tolerances — timings are machine-dependent and are
+engine metrics (views gathered, BFS node-visits, decide calls, distinct
+view classes) with per-metric tolerances — timings are machine-dependent and are
 deliberately not part of any baseline.  A metric drifting outside its
 tolerance exits nonzero, which is what the ``bench-regression`` CI job
 keys on.  ``--write-baseline`` regenerates the baseline from a report
@@ -100,14 +100,12 @@ def stamp_provenance(
 # ---------------------------------------------------------------------------
 
 #: Metrics pinned by default when writing a baseline, with their relative
-#: tolerances.  All are deterministic functions of (graph, seed, radius);
-#: hit rates get slack only because rounding lands in the report.
+#: tolerances.  All are deterministic functions of (graph, seed, radius).
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "views_gathered": 0.0,
     "bfs_node_visits": 0.0,
     "decide_calls": 0.0,
     "distinct_view_classes": 0.0,
-    "view_cache_hit_rate": 0.01,
 }
 
 

@@ -134,8 +134,7 @@ def trace_main(argv: list) -> int:
     print("\n== telemetry")
     for key in (
         "beta", "rounds", "bits_per_node", "total_advice_bits", "schema_type",
-        "views_gathered", "bfs_node_visits", "decide_calls", "cache_hit_rate",
-        "bits_on_wire",
+        "views_gathered", "bfs_node_visits", "decide_calls", "bits_on_wire",
     ):
         print(f"{key:20s} {run.telemetry.get(key)}")
     if run.failures:

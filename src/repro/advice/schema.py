@@ -188,7 +188,7 @@ class SchemaRun:
 
     ``telemetry`` merges the engine's :class:`~repro.perf.SimStats`
     counters with the per-run metrics snapshot (β, rounds, bits per node,
-    cache hit rate, violations — see :mod:`repro.obs.metrics`);
+    violations — see :mod:`repro.obs.metrics`);
     ``failures`` holds one :class:`~repro.obs.FailureReport` per violating
     node when verification rejects the decoded labeling.
     """
@@ -258,11 +258,8 @@ class AdviceSchema(abc.ABC):
         by gathering only the node's ball — O(Δ^T) work, independent of
         ``n`` — instead of re-running :meth:`decode` over the whole graph.
         The function must produce the same label :meth:`decode` would for
-        every node; functions marked via
-        :func:`~repro.local.views.mark_order_invariant` additionally let
-        the service memoize answers across order-isomorphic balls.
-        ``None`` (the default) means the schema has no per-view decoder
-        and cannot be served query-at-a-time.
+        every node.  ``None`` (the default) means the schema has no
+        per-view decoder and cannot be served query-at-a-time.
         """
         return None
 
@@ -546,7 +543,6 @@ class AdviceSchema(abc.ABC):
             schema_type=run.schema_type,
             n=run.n,
             max_degree=run.max_degree,
-            cache_hit_rate=stats_dict.get("cache_hit_rate", 0.0),
         )
         return telemetry
 

@@ -3,8 +3,8 @@
 The reproduction's correctness rests on invariants no test asserts
 directly: decoders are pure functions of their views (paper §3.2),
 decoding is deterministic, and every ``mark_order_invariant`` claim —
-which the simulation engine trusts for signature-keyed view memoization —
-actually holds (§8).  This package verifies those invariants:
+which signature-keyed lookup tables (:mod:`repro.lower_bounds`) and
+failure fingerprints trust — actually holds (§8).  This package verifies those invariants:
 
 * :mod:`repro.analysis.rules` — the rule catalog (LOC001–LOC003,
   ORD001–ORD002, WVR001) and the AST checkers;

@@ -8,8 +8,9 @@ source text; this module closes the loop at runtime, on two levels:
 
   - *monotone* identifier remaps (``i -> 2i``, ``i -> 3i + 7``): relative
     order is preserved, so an order-invariant encode→decode pipeline must
-    reproduce the **exact same labeling** (the Section 8 equivalence the
-    engine's view memoization relies on), and
+    reproduce the **exact same labeling** (the Section 8 equivalence that
+    lookup tables and failure fingerprints keyed on order signatures rely
+    on), and
   - *random permutations* of the identifier space: the labeling may
     legitimately change, but it must stay a **valid** solution.
 

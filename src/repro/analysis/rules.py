@@ -20,11 +20,12 @@ with paper references):
   identifier values or compares an identifier against a constant.
   Order-invariant algorithms (Section 8) may only use the *relative
   order* of identifiers; raw-value arithmetic breaks the Ramsey
-  conversion and poisons the engine's signature-keyed memoization.
+  conversion and poisons signature-keyed lookup tables and failure
+  fingerprints.
 * **ORD002** — an order-invariance claim not backed by the dynamic check:
   the ``mark_order_invariant`` target is not registered in
   :data:`repro.analysis.fuzz.ORDER_INVARIANCE_CHECKED`, so nothing ever
-  tests the claim the memoizer relies on.
+  tests the claim that signature-keyed lookup tables rely on.
 * **WVR001** — a waiver decorator without a justification string.
 
 Checkers operate on :class:`FunctionInfo` records produced by
@@ -140,7 +141,7 @@ RULES: Dict[str, Rule] = {
             "order-invariant target uses raw identifier values",
             "Section 8's Ramsey conversion only permits *relative order* of "
             "identifiers; arithmetic or absolute comparisons on id values "
-            "break order-invariance and poison signature-keyed memoization.",
+            "break order-invariance and poison signature-keyed lookup tables.",
         ),
         Rule(
             "ORD002",

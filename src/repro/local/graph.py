@@ -122,7 +122,7 @@ class LocalGraph:
     def epoch(self) -> int:
         """Monotone mutation counter; bumped by every topology change.
 
-        Snapshot consumers (:class:`CompiledGraph` holders, memoized views)
+        Snapshot consumers (:class:`CompiledGraph` holders, cached balls)
         compare their recorded epoch against this to detect staleness.
         """
         return self._epoch

@@ -42,7 +42,7 @@ from ..obs.bandwidth import (
 from ..obs.trace import NULL_TRACER
 from ..perf import SimStats
 from .graph import LocalGraph, Node
-from .views import View, gather_all_views, is_marked_order_invariant
+from .views import View, gather_all_views
 
 
 class SimulationError(RuntimeError):
@@ -183,7 +183,6 @@ def run_view_algorithm(
     radius: int,
     decide: ViewFunction,
     advice: Optional[Mapping[Node, str]] = None,
-    memoize: Optional[bool] = None,
     tracer=None,
     engine: Optional[str] = None,
     pool_size: Optional[int] = None,
@@ -206,19 +205,12 @@ def run_view_algorithm(
     * ``None`` — the ambient engine from :func:`use_engine` (``"auto"``
       unless a caller such as ``solve_with_advice`` chose otherwise).
 
-    When ``memoize`` is true — or ``decide`` was declared order-invariant
-    via :func:`repro.local.views.mark_order_invariant` — order-isomorphic
-    views are decided once and answered from a cache keyed on
-    :meth:`View.order_signature`, which is sound exactly for
-    order-invariant algorithms (Section 8: their output may depend only on
-    the relative identifier order in the view).  ``RunResult.stats``
-    reports views gathered, cache hits/misses, BFS node-visits, per-phase
-    wall time, and which engine ran.
+    Every view is decided afresh; ``RunResult.stats`` reports views
+    gathered, decide calls, BFS node-visits, per-phase wall time, and which
+    engine ran.
     """
     if radius < 0:
         raise SimulationError("radius must be non-negative")
-    if memoize is None:
-        memoize = is_marked_order_invariant(decide)
     if tracer is None:
         tracer = NULL_TRACER
     resolved = _resolve_engine(engine, graph)
@@ -230,7 +222,6 @@ def run_view_algorithm(
             radius,
             decide,
             advice=advice,
-            memoize=bool(memoize),
             tracer=tracer,
             pool_size=pool_size,
         )
@@ -246,7 +237,6 @@ def run_view_algorithm(
         "run_view_algorithm",
         radius=radius,
         n=graph.n,
-        memoize=bool(memoize),
         engine=resolved,
     ) as run_span:
         with stats.phase("gather"):
@@ -264,28 +254,11 @@ def run_view_algorithm(
         with tracer.span("decide", n=len(views)) as decide_span, stats.phase(
             "decide"
         ):
-            if memoize:
-                cache: Dict[object, object] = {}
-                for v, view in views.items():
-                    key = view.order_signature()
-                    if key in cache:
-                        stats.view_cache_hits += 1
-                        outputs[v] = cache[key]
-                        if tracing:
-                            tracer.event("decide", node=v, cached=True)
-                    else:
-                        stats.view_cache_misses += 1
-                        stats.decide_calls += 1
-                        result = decide(view)
-                        cache[key] = result
-                        outputs[v] = result
-                        if tracing:
-                            tracer.event("decide", node=v, cached=False)
-            elif tracing:
+            if tracing:
                 for v, view in views.items():
                     stats.decide_calls += 1
                     outputs[v] = decide(view)
-                    tracer.event("decide", node=v, cached=False)
+                    tracer.event("decide", node=v)
             else:
                 # Hot path: one dict comprehension, one bulk counter add.
                 outputs.update((v, decide(view)) for v, view in views.items())
@@ -294,11 +267,7 @@ def run_view_algorithm(
                 # Declare this span's share of the work counters so the
                 # profiler (repro.obs.profile) can attribute self-vs-
                 # cumulative work; the enclosing span carries the totals.
-                decide_span.set(
-                    decide_calls=stats.decide_calls,
-                    view_cache_hits=stats.view_cache_hits,
-                    view_cache_misses=stats.view_cache_misses,
-                )
+                decide_span.set(decide_calls=stats.decide_calls)
         if tracing:
             run_span.set(**stats.as_dict())
     return RunResult(outputs=outputs, rounds=radius, stats=stats)

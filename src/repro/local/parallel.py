@@ -18,13 +18,10 @@ run state (graph, decider, advice) pickles.  Otherwise
 caller (:func:`repro.local.model.run_view_algorithm`) falls back to a
 serial engine — a wrong answer is never produced, only a missed speedup.
 
-Counter semantics: ``views_gathered`` and ``bfs_node_visits`` are exact
-and engine-independent.  ``decide_calls`` / cache counters are exact for
-unmemoized runs; under memoization each worker keeps a private signature
-cache, so ``decide_calls`` may exceed the serial engine's count (each
-worker pays one miss per order-isomorphic class it encounters).  The
-emitted spans declare the *actual* per-run counters, so
-``WorkProfile.reconcile()`` balances exactly either way.
+Counter semantics: ``views_gathered``, ``bfs_node_visits`` and
+``decide_calls`` are exact and engine-independent.  The emitted spans
+declare the per-run counters, so ``WorkProfile.reconcile()`` balances
+exactly.
 
 Note on expectations: with one worker per core this helps only on
 multi-core hosts and large graphs — process spin-up plus pickling the
@@ -49,7 +46,7 @@ from .views import View, gather_view
 __all__ = ["run_view_algorithm_parallel", "default_pool_size", "chunk_ranges"]
 
 #: the per-worker run state, installed once per process by the pool
-#: initializer: ``(graph, radius, decide, advice, memoize)``.
+#: initializer: ``(graph, radius, decide, advice)``.
 _WORKER_STATE: Optional[Tuple] = None
 
 
@@ -89,7 +86,7 @@ def _decode_chunk(bounds: Tuple[int, int]):
     this chunk's share of the :class:`SimStats` work counters.
     """
     lo, hi = bounds
-    graph, radius, decide, advice, memoize = _WORKER_STATE
+    graph, radius, decide, advice = _WORKER_STATE
     stats = SimStats()
     views: Dict[Node, View]
     try:
@@ -109,30 +106,11 @@ def _decode_chunk(bounds: Tuple[int, int]):
             views[v] = view
             stats.views_gathered += 1
             stats.bfs_node_visits += len(view.distances)
-    outputs: Dict[Node, object] = {}
-    if memoize:
-        cache: Dict[object, object] = {}
-        for v, view in views.items():
-            key = view.order_signature()
-            if key in cache:
-                stats.view_cache_hits += 1
-                outputs[v] = cache[key]
-            else:
-                stats.view_cache_misses += 1
-                stats.decide_calls += 1
-                result = decide(view)
-                cache[key] = result
-                outputs[v] = result
-    else:
-        for v, view in views.items():
-            stats.decide_calls += 1
-            outputs[v] = decide(view)
+    outputs = {v: decide(view) for v, view in views.items()}
     return outputs, {
         "views_gathered": stats.views_gathered,
         "bfs_node_visits": stats.bfs_node_visits,
-        "decide_calls": stats.decide_calls,
-        "view_cache_hits": stats.view_cache_hits,
-        "view_cache_misses": stats.view_cache_misses,
+        "decide_calls": len(outputs),
     }
 
 
@@ -141,7 +119,6 @@ def run_view_algorithm_parallel(
     radius: int,
     decide: Callable[[View], object],
     advice: Optional[Mapping[Node, str]] = None,
-    memoize: bool = False,
     tracer=None,
     pool_size: Optional[int] = None,
 ):
@@ -172,7 +149,7 @@ def run_view_algorithm_parallel(
         return None
     try:
         payload = pickle.dumps(
-            (graph, radius, decide, dict(advice or {}), bool(memoize))
+            (graph, radius, decide, dict(advice or {}))
         )
     except Exception as exc:  # noqa: BLE001 - any pickling failure disables
         warnings.warn(
@@ -198,7 +175,6 @@ def run_view_algorithm_parallel(
         "run_view_algorithm",
         radius=radius,
         n=graph.n,
-        memoize=bool(memoize),
         engine="parallel",
         pool_size=workers,
     ) as run_span:
@@ -219,8 +195,6 @@ def run_view_algorithm_parallel(
                 stats.views_gathered += counters["views_gathered"]
                 stats.bfs_node_visits += counters["bfs_node_visits"]
                 stats.decide_calls += counters["decide_calls"]
-                stats.view_cache_hits += counters["view_cache_hits"]
-                stats.view_cache_misses += counters["view_cache_misses"]
             if tracer.enabled:
                 # Declare the pool's full counter share: the pool span did
                 # all the work of this run, so WorkProfile.reconcile()
@@ -229,8 +203,6 @@ def run_view_algorithm_parallel(
                     views_gathered=stats.views_gathered,
                     bfs_node_visits=stats.bfs_node_visits,
                     decide_calls=stats.decide_calls,
-                    view_cache_hits=stats.view_cache_hits,
-                    view_cache_misses=stats.view_cache_misses,
                 )
         if tracer.enabled:
             run_span.set(**stats.as_dict())

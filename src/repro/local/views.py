@@ -601,9 +601,9 @@ def mark_order_invariant(decide):
     Order-invariant functions depend only on the *relative* order of the
     identifiers in the view, so order-isomorphic views (equal
     :meth:`View.order_signature`) must get identical outputs — which lets
-    :func:`repro.local.run_view_algorithm` memoize decisions per signature.
-    Marking a function that is **not** order-invariant is unsound: the
-    memoized run may silently diverge from the plain one.
+    the function be tabulated per signature
+    (:mod:`repro.lower_bounds.order_invariant`).  The linter (ORD001/ORD002)
+    and the order-invariance fuzzer check every marked function.
     """
     decide.order_invariant = True
     return decide

@@ -138,7 +138,6 @@ def parity_cycle_decoder(window: int) -> ViewFunction:
 
     decide.__name__ = f"parity_cycle_decoder[{window}]"
     # The decoder compares identifiers only by order (min-id anchor), so it
-    # is order-invariant and the engine may memoize it per view signature —
-    # a large win for the 2^{beta n} search, which re-decodes the same few
-    # cycle neighborhoods under every advice assignment.
+    # is order-invariant: a lookup table keyed on view order signatures can
+    # stand in for it (Section 8).
     return mark_order_invariant(decide)

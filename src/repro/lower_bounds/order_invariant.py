@@ -34,8 +34,8 @@ def canonicalize(decide: ViewFunction) -> ViewFunction:
 
     The wrapped algorithm is order-invariant: two order-isomorphic views
     produce identical inputs to ``decide``.  It is marked as such
-    (:func:`repro.local.mark_order_invariant`), so the simulation engine
-    memoizes it per order signature automatically.
+    (:func:`repro.local.mark_order_invariant`), so it can be tabulated per
+    order signature (:func:`build_lookup_table`).
     """
 
     def wrapped(view: View) -> object:
@@ -147,7 +147,6 @@ def run_lookup_table(
     """Execute a lookup table as a LOCAL algorithm.
 
     The table is order-invariant by construction (it is keyed on order
-    signatures), so the run opts into view memoization: order-isomorphic
-    views hit the engine's cache before the table is even consulted.
+    signatures); each node's view is looked up in it.
     """
-    return run_view_algorithm(graph, radius, table.decide, advice=advice, memoize=True)
+    return run_view_algorithm(graph, radius, table.decide, advice=advice)

@@ -16,7 +16,7 @@ The tolerance semantics are shared with the benchmark baseline gate
 (``benchmarks/common.py``): a drift is significant when
 ``|current - base| > tolerance * max(|base|, 1)`` — relative slack with an
 absolute floor of one unit, so zero-valued baselines don't divide by zero
-and hit-rate rounding gets its 1% (:data:`DETERMINISTIC_TOLERANCES`).
+(:data:`DETERMINISTIC_TOLERANCES`).
 Wall times are machine noise and are deliberately absent from the default
 metric set; pass them explicitly if you want them.
 """
@@ -28,8 +28,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .profile import WorkProfile
 
-#: Deterministic metrics diffed by default, with their tolerances.  Exact
-#: (0.0) except the hit rate, which carries report rounding.
+#: Deterministic metrics diffed by default, with their tolerances (all
+#: exact).
 DETERMINISTIC_TOLERANCES: Dict[str, float] = {
     "beta": 0.0,
     "rounds": 0.0,
@@ -37,11 +37,8 @@ DETERMINISTIC_TOLERANCES: Dict[str, float] = {
     "views_gathered": 0.0,
     "bfs_node_visits": 0.0,
     "decide_calls": 0.0,
-    "view_cache_hits": 0.0,
-    "view_cache_misses": 0.0,
     "messages_delivered": 0.0,
     "bits_on_wire": 0.0,
-    "view_cache_hit_rate": 0.01,
 }
 
 

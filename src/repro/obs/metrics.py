@@ -2,8 +2,8 @@
 
 Definition 3.2 characterizes an advice schema by measurable quantities —
 ``beta`` (bits per node), ``T`` (decoder rounds), and the locality actually
-consumed — and PR 1's engine added execution counters (BFS node-visits,
-view-cache hit rate).  This module gives them a uniform home: a
+consumed — and the engine adds execution counters (views gathered, BFS
+node-visits, decide calls).  This module gives them a uniform home: a
 :class:`MetricsRegistry` of counters, gauges, and histograms whose
 :meth:`~MetricsRegistry.snapshot` lands verbatim in ``SchemaRun.telemetry``
 and the benchmark JSON.
@@ -23,8 +23,7 @@ name                              type        meaning (paper quantity)
 ``advice_bits_per_node``          histogram   per-node advice lengths
 ``views_gathered``                counter     engine: views materialized
 ``bfs_node_visits``               counter     engine: Σ_v |B(v,T)| work
-``decide_calls``                  counter     engine: distinct decisions
-``view_cache_hit_rate``           gauge       engine: memoization hit rate
+``decide_calls``                  counter     engine: decisions made
 ``bits_on_wire``                  counter     bandwidth: total message bits
 ``violations_total``              counter     nodes failing the local check
 ``decode_errors_total``           counter     typed decoder failures
@@ -240,11 +239,7 @@ class MetricsRegistry:
     def merge_stats(self, stats_dict: Dict[str, object], **labels: object) -> None:
         """Fold a ``SimStats.as_dict()`` into engine-level metrics."""
         for key in ("views_gathered", "bfs_node_visits", "decide_calls",
-                    "view_cache_hits", "view_cache_misses",
                     "messages_delivered", "bits_on_wire"):
             value = stats_dict.get(key)
             if value:
                 self.counter(key, **labels).inc(value)
-        rate = stats_dict.get("cache_hit_rate")
-        if rate is not None:
-            self.gauge("view_cache_hit_rate", **labels).set(float(rate))

@@ -9,9 +9,8 @@ every span carries
 
 * **wall time**, cumulative (its whole subtree) and self (exclusive);
 * **work counters** (``views_gathered``, ``bfs_node_visits``,
-  ``decide_calls``, ``view_cache_hits``/``misses``,
-  ``messages_delivered``, ``bits_on_wire``), likewise cumulative and
-  self, reconstructed
+  ``decide_calls``, ``messages_delivered``, ``bits_on_wire``), likewise
+  cumulative and self, reconstructed
   from the span attributes the engine emits (``run_view_algorithm`` totals
   on the engine span, per-phase shares on its ``gather``/``decide``
   children);
@@ -45,8 +44,6 @@ WORK_COUNTERS: Tuple[str, ...] = (
     "views_gathered",
     "bfs_node_visits",
     "decide_calls",
-    "view_cache_hits",
-    "view_cache_misses",
     "messages_delivered",
     "bits_on_wire",
 )

@@ -47,8 +47,6 @@ HISTORY_METRICS: Sequence[str] = (
     "views_gathered",
     "bfs_node_visits",
     "decide_calls",
-    "view_cache_hits",
-    "view_cache_misses",
     "messages_delivered",
     "bits_on_wire",
 )
@@ -62,10 +60,17 @@ SERVING_HISTORY_METRICS: Sequence[str] = (
     "views_gathered",
     "bfs_node_visits",
     "decide_calls",
-    "memo_hits",
     "ball_p50",
     "ball_max",
 )
+
+#: Layout version of a history entry, stamped as ``history_schema`` (entries
+#: without the stamp are version 1).  Version 2 removed the order-invariant
+#: view memo: every view is decided, so ``decide_calls`` absorbs the memo's
+#: hits and the ``view_cache_hits``/``view_cache_misses``/``memo_hits``
+#: counters are retired.  :func:`upgrade_history_entry` migrates older
+#: entries so the drift gate compares like with like.
+HISTORY_SCHEMA = 2
 
 #: Fixed parameters of the report's embedded serving bench — small grids
 #: so ``repro report`` stays fast; the flagship sweep lives in
@@ -278,7 +283,28 @@ def history_snapshot(report: Mapping[str, object]) -> Dict[str, object]:
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 row[metric] = value
         metrics[f"serving:{case.get('case')}"] = row
-    return {"provenance": report.get("provenance", {}), "metrics": metrics}
+    return {
+        "history_schema": HISTORY_SCHEMA,
+        "provenance": report.get("provenance", {}),
+        "metrics": metrics,
+    }
+
+
+def upgrade_history_entry(entry: Mapping[str, object]) -> Dict[str, object]:
+    """``entry`` migrated to the current :data:`HISTORY_SCHEMA` layout."""
+    entry = dict(entry)
+    if entry.get("history_schema", 1) < 2:
+        rows = {}
+        for name, row in entry.get("metrics", {}).items():
+            row = dict(row)
+            hits = row.pop("view_cache_hits", 0) + row.pop("memo_hits", 0)
+            row.pop("view_cache_misses", None)
+            if "decide_calls" in row:
+                row["decide_calls"] += hits
+            rows[name] = row
+        entry["metrics"] = rows
+        entry["history_schema"] = 2
+    return entry
 
 
 def load_history(path: str) -> List[Dict[str, object]]:
@@ -300,8 +326,10 @@ def check_history_drift(
     """Deterministic-metric drift of ``snapshot`` vs the last history entry.
 
     Returns human-readable problem strings (empty = within tolerance).
-    A schema disappearing from the snapshot is drift; a new schema is not
-    (growing the registry must not fail CI).  Likewise a metric present
+    ``last`` is first brought to the current layout
+    (:func:`upgrade_history_entry`).  A schema disappearing from the
+    snapshot is drift; a new schema is not (growing the registry must not
+    fail CI).  Likewise a metric present
     only in the fresh snapshot is new instrumentation, not drift — but a
     metric that *disappears* from a schema's row is.
     """
@@ -310,7 +338,7 @@ def check_history_drift(
         for m in (*HISTORY_METRICS, *SERVING_HISTORY_METRICS)
     }
     problems: List[str] = []
-    last_metrics = last.get("metrics", {})
+    last_metrics = upgrade_history_entry(last).get("metrics", {})
     fresh_metrics = snapshot.get("metrics", {})
     for name, base_row in sorted(last_metrics.items()):
         fresh_row = fresh_metrics.get(name)
@@ -369,7 +397,6 @@ _SUMMARY_COLUMNS = (
     ("views", "views_gathered"),
     ("bfs visits", "bfs_node_visits"),
     ("decides", "decide_calls"),
-    ("cache hit", "cache_hit_rate"),
     ("bits-on-wire", "bits_on_wire"),
 )
 
@@ -516,7 +543,7 @@ def render_markdown(report: Mapping[str, object]) -> str:
         lines.append("")
         serving_headers = (
             "case", "n", "queries", "bfs visits/query", "ball p50",
-            "memo hits", "p50 µs", "p95 µs", "reconciled",
+            "p50 µs", "p95 µs", "reconciled",
         )
         lines.append("| " + " | ".join(serving_headers) + " |")
         lines.append("|" + "---|" * len(serving_headers))
@@ -527,7 +554,7 @@ def render_markdown(report: Mapping[str, object]) -> str:
                     case.get("case"), case.get("n"),
                     case.get("queries_total"),
                     case.get("bfs_visits_per_query"),
-                    case.get("ball_p50"), case.get("memo_hits"),
+                    case.get("ball_p50"),
                     lat.get("p50"), lat.get("p95"),
                     "yes" if case.get("reconciled") else "NO",
                 )) + " |"

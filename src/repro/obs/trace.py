@@ -21,7 +21,7 @@ Record shapes::
     {"kind": "span",  "name": "decode", "span": 3, "parent": 1,
      "start": 0.0012, "end": 0.0147, "attrs": {...}}
     {"kind": "event", "name": "decide", "span": 3, "t": 0.0031,
-     "attrs": {"node": 17, "cached": false}}
+     "attrs": {"node": 17}}
 
 Span records are emitted when the span *closes* (so their wall time and
 final attributes are known); the tree structure is recovered through the

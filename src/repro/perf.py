@@ -4,8 +4,8 @@ Every run of the LOCAL engine (:func:`repro.local.run_view_algorithm`,
 :func:`repro.local.run_message_passing`) carries a :class:`SimStats`
 instance on ``RunResult.stats`` so speedups are *measured* rather than
 asserted: how many views were gathered, how many BFS node-visits they
-cost, how often the order-invariant view cache hit, and how wall time
-splits across the gather/decide phases.
+cost, how often the decision function ran, and how wall time splits
+across the gather/decide phases.
 
 The counters are plain integers and the timers are ``perf_counter``
 deltas — cheap enough to stay on by default.  ``benchmarks/
@@ -29,16 +29,11 @@ class SimStats:
     ----------
     views_gathered:
         Number of radius-``T`` views materialized.
-    view_cache_hits / view_cache_misses:
-        Order-invariant memoization outcomes (both stay 0 when the run is
-        not memoized).
     bfs_node_visits:
         Total nodes popped across all BFS sweeps — the work the LOCAL
         model actually charges for, ``O(sum_v |B(v, T)|)``.
     decide_calls:
-        How often the user's decision function actually ran; with a warm
-        view cache this is the number of *distinct* order-isomorphic
-        classes, not ``n``.
+        How often the user's decision function ran — once per view.
     messages_delivered:
         Messages routed by :func:`repro.local.run_message_passing`.
     bits_on_wire:
@@ -52,8 +47,6 @@ class SimStats:
     """
 
     views_gathered: int = 0
-    view_cache_hits: int = 0
-    view_cache_misses: int = 0
     bfs_node_visits: int = 0
     decide_calls: int = 0
     messages_delivered: int = 0
@@ -108,14 +101,6 @@ class SimStats:
     # -- derived quantities ----------------------------------------------------
 
     @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of views answered from the order-invariant cache."""
-        total = self.view_cache_hits + self.view_cache_misses
-        if total == 0:
-            return 0.0
-        return self.view_cache_hits / total
-
-    @property
     def total_seconds(self) -> float:
         """Wall time across phases, counting nested phases once.
 
@@ -131,8 +116,6 @@ class SimStats:
     def merge(self, other: "SimStats") -> "SimStats":
         """Accumulate ``other`` into ``self`` (returns ``self``)."""
         self.views_gathered += other.views_gathered
-        self.view_cache_hits += other.view_cache_hits
-        self.view_cache_misses += other.view_cache_misses
         self.bfs_node_visits += other.bfs_node_visits
         self.decide_calls += other.decide_calls
         self.messages_delivered += other.messages_delivered
@@ -160,9 +143,6 @@ class SimStats:
         return {
             **out,
             "views_gathered": self.views_gathered,
-            "view_cache_hits": self.view_cache_hits,
-            "view_cache_misses": self.view_cache_misses,
-            "cache_hit_rate": round(self.cache_hit_rate, 6),
             "bfs_node_visits": self.bfs_node_visits,
             "decide_calls": self.decide_calls,
             "messages_delivered": self.messages_delivered,

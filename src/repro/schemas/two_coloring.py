@@ -93,13 +93,13 @@ class TwoColoringSchema(AdviceSchema):
         return advice
 
     def decode(self, graph: LocalGraph, advice: Mapping[Node, str]) -> DecodeResult:
-        """Decode as a memoized order-invariant view algorithm.
+        """Decode as an order-invariant view algorithm.
 
         The per-node rule (nearest anchor, ties to the smaller identifier,
         color by distance parity) compares identifiers only by order, so
-        order-isomorphic neighborhoods decode identically and the engine's
-        view-signature cache applies — on long paths and cycles almost
-        every interior node shares one of a handful of signatures.
+        order-isomorphic neighborhoods decode identically; the
+        ``mark_order_invariant`` claim is checked by lint rules ORD001/ORD002
+        and the order-invariance fuzzer.
         """
         radius = self.spacing - 1
         result = run_view_algorithm(

@@ -21,7 +21,6 @@ REPORT = {
                 "views_gathered": 576,
                 "bfs_node_visits": 7012,
                 "decide_calls": 576,
-                "view_cache_hit_rate": 0.0,
             },
             "distinct_view_classes": 576,
         },
@@ -31,7 +30,6 @@ REPORT = {
                 "views_gathered": 576,
                 "bfs_node_visits": 2880,
                 "decide_calls": 576,
-                "view_cache_hit_rate": 0.8958,
             },
             "distinct_view_classes": 60,
         },
@@ -68,12 +66,15 @@ class TestDiffAgainstBaseline:
         assert len(problems) == 1
         assert "bfs_node_visits" in problems[0]
 
-    def test_hit_rate_within_tolerance(self):
+    def test_relative_tolerance_allows_slack(self):
+        baseline = write_baseline(
+            REPORT, "/dev/null", {**DEFAULT_TOLERANCES, "bfs_node_visits": 0.01}
+        )
         fresh = copy.deepcopy(REPORT)
-        fresh["cases"][1]["engine_stats"]["view_cache_hit_rate"] = 0.8988
-        assert diff_against_baseline(fresh, self._baseline()) == []
-        fresh["cases"][1]["engine_stats"]["view_cache_hit_rate"] = 0.80
-        assert diff_against_baseline(fresh, self._baseline())
+        fresh["cases"][1]["engine_stats"]["bfs_node_visits"] = 2900
+        assert diff_against_baseline(fresh, baseline) == []
+        fresh["cases"][1]["engine_stats"]["bfs_node_visits"] = 2950
+        assert diff_against_baseline(fresh, baseline)
 
     def test_missing_case_is_regression(self):
         fresh = copy.deepcopy(REPORT)

@@ -43,7 +43,7 @@ class TestCLI:
         assert record["schema"] == "2-coloring"
         assert record["valid"] is True
         telemetry = record["telemetry"]
-        for key in ("beta", "rounds", "bits_per_node", "cache_hit_rate"):
+        for key in ("beta", "rounds", "bits_per_node", "decide_calls"):
             assert key in telemetry
 
 

@@ -6,12 +6,11 @@ from repro.perf import SimStats, Timer
 
 
 class TestSimStats:
-    def test_defaults_and_hit_rate(self):
+    def test_defaults(self):
         stats = SimStats()
-        assert stats.cache_hit_rate == 0.0
-        stats.view_cache_hits = 3
-        stats.view_cache_misses = 1
-        assert stats.cache_hit_rate == 0.75
+        assert stats.views_gathered == stats.bfs_node_visits == 0
+        assert stats.decide_calls == 0
+        assert stats.total_seconds == 0.0
 
     def test_phase_timer_accumulates(self):
         stats = SimStats()
@@ -65,12 +64,12 @@ class TestSimStats:
     def test_merge(self):
         a = SimStats(views_gathered=2, bfs_node_visits=10)
         a.phase_seconds["gather"] = 0.5
-        b = SimStats(views_gathered=3, view_cache_hits=4, decide_calls=1)
+        b = SimStats(views_gathered=3, decide_calls=4)
         b.phase_seconds["gather"] = 0.25
         b.phase_seconds["decide"] = 0.1
         a.merge(b)
         assert a.views_gathered == 5
-        assert a.view_cache_hits == 4
+        assert a.decide_calls == 4
         assert a.bfs_node_visits == 10
         assert a.phase_seconds == {"gather": 0.75, "decide": 0.1}
 

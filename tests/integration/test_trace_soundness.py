@@ -10,8 +10,6 @@ Two contracts from the observability work:
   simulation-core smoke case.
 """
 
-import time
-
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import binary_tree, cycle, grid, random_regular
@@ -19,6 +17,8 @@ from repro.local import LocalGraph, run_message_passing, run_view_algorithm
 from repro.local.model import MessagePassingAlgorithm
 from repro.obs import NULL_TRACER, RingSink, Tracer
 from repro.schemas import BalancedOrientationSchema, TwoColoringSchema
+
+from ..timing import interleaved_minima
 
 seeds = st.integers(min_value=0, max_value=10**6)
 
@@ -93,22 +93,10 @@ class TestNullTracerOverhead:
         g = LocalGraph(grid(24, 24), seed=0)
 
         def run(tracer):
-            return run_view_algorithm(
-                g, 2, _degree_algo, memoize=True, tracer=tracer
-            )
+            return lambda: run_view_algorithm(g, 2, _degree_algo, tracer=tracer)
 
-        def best_of(n, tracer):
-            best = float("inf")
-            for _ in range(n):
-                t0 = time.perf_counter()
-                run(tracer)
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        run(None)  # warm caches before timing either variant
-        untraced = best_of(5, None)
-        noop = best_of(5, NULL_TRACER)
-        # min-of-N on the same process keeps scheduler noise out; allow the
+        untraced, noop = interleaved_minima([run(None), run(NULL_TRACER)], 15)
+        # Interleaved GC-off min-of-N keeps scheduler noise out; allow the
         # stated 10% bound plus a 2ms floor for very fast runs.
         assert noop <= untraced * 1.10 + 0.002, (
             f"no-op tracer overhead: {noop:.4f}s vs {untraced:.4f}s untraced"

@@ -3,7 +3,7 @@
 The churn runtime (PR 9) mutates a live graph in place.  Every
 topology-derived cache — the compiled CSR snapshot with its vectorized
 ``_np_csr32`` / ``_np_flood`` sidecars, the bounded-LRU ball cache, and
-memoized views gathered from the old topology — must be invalidated the
+views gathered from the old topology — must be invalidated the
 moment an edge flips, or the decoder would be served stale neighborhoods.
 """
 
@@ -126,8 +126,8 @@ class TestEpochInvalidation:
         after = gather_view(g, 0, radius=1)
         assert before.order_signature() != after.order_signature()
         assert set(after.nodes) == {0, 1, 4, 7}
-        # Distinct signatures keep the two epochs apart in any decode memo
-        # keyed on order_signature().
+        # Distinct signatures keep the two epochs apart in any lookup table
+        # or fingerprint keyed on order_signature().
         g.remove_edge(0, 4)
         again = gather_view(g, 0, radius=1)
         assert again.order_signature() == before.order_signature()

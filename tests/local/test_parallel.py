@@ -3,9 +3,8 @@
 The pool may only run when the linter certifies the decision function
 pure; otherwise it must *warn and fall back* — never produce an answer a
 serial engine would not.  When it runs, outputs must be bit-identical to
-the scalar engine and the merged counters must match the serial ones
-(``decide_calls`` may legitimately exceed serial under memoization, since
-each worker keeps a private signature cache — that case is pinned too).
+the scalar engine and the merged counters must match the serial ones,
+for deciders marked order-invariant or not.
 """
 
 import random
@@ -26,6 +25,15 @@ def _graph_and_advice(spacing=4, n=48):
     graph = LocalGraph(cycle(n), seed=7)
     schema = TwoColoringSchema(spacing=spacing)
     return graph, schema.encode(graph), spacing - 1
+
+
+def _anchor_color(view):
+    return _nearest_anchor_color(view)
+
+
+@mark_order_invariant
+def _marked_anchor_color(view):
+    return _nearest_anchor_color(view)
 
 
 def _impure_decider(view):
@@ -86,42 +94,24 @@ class TestPurityGate:
 
 
 class TestPoolAgreement:
-    @pytest.mark.parametrize("memoize", [False, True])
-    def test_outputs_and_counters(self, memoize):
+    @pytest.mark.parametrize("marked", [False, True])
+    def test_outputs_and_counters(self, marked):
         graph = LocalGraph(grid(8, 8), seed=2)
         schema = TwoColoringSchema(spacing=5)
         advice = schema.encode(graph)
+        decide = _marked_anchor_color if marked else _anchor_color
         serial = run_view_algorithm(
-            graph,
-            4,
-            _nearest_anchor_color,
-            advice=advice,
-            memoize=memoize,
-            engine="scalar",
+            graph, 4, decide, advice=advice, engine="scalar"
         )
         pooled = run_view_algorithm_parallel(
-            graph,
-            4,
-            _nearest_anchor_color,
-            advice=advice,
-            memoize=memoize,
-            pool_size=2,
+            graph, 4, decide, advice=advice, pool_size=2
         )
         assert pooled is not None
         assert pooled.outputs == serial.outputs
-        # gather counters are exact and engine-independent
+        # work counters are exact and engine-independent, marked or not
         assert pooled.stats.views_gathered == serial.stats.views_gathered
         assert pooled.stats.bfs_node_visits == serial.stats.bfs_node_visits
-        if memoize:
-            # per-worker caches: at least the serial class count, at most
-            # one miss per class per chunk
-            assert pooled.stats.decide_calls >= serial.stats.decide_calls
-            assert (
-                pooled.stats.view_cache_hits + pooled.stats.view_cache_misses
-                == graph.n
-            )
-        else:
-            assert pooled.stats.decide_calls == serial.stats.decide_calls
+        assert pooled.stats.decide_calls == serial.stats.decide_calls == graph.n
 
     def test_marked_decider_through_dispatch(self):
         graph, advice, radius = _graph_and_advice(spacing=6, n=60)

@@ -1,8 +1,8 @@
 """Property tests (Hypothesis) for the Section 8 order-invariance kernel.
 
-``View.canonical()`` and ``View.order_signature()`` are what the engine's
-view memoization and the whole order-invariance machinery stand on, so we
-pin their algebra property-style:
+``View.canonical()`` and ``View.order_signature()`` are what lookup tables,
+failure fingerprints and the whole order-invariance machinery stand on, so
+we pin their algebra property-style:
 
 * ``canonical()`` is idempotent;
 * ``canonical()`` and ``order_signature()`` are invariant under random

@@ -12,8 +12,6 @@ The acceptance properties of the serving subsystem:
 * the unsampled path costs < 10% over a sampling-disabled service.
 """
 
-import time
-
 import pytest
 
 from repro.core.api import make_service, solve_with_advice
@@ -32,6 +30,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, LogicalClock, RingSink, Tracer
 from repro.schemas.two_coloring import TwoColoringSchema
 from repro.serve import AdviceService, ServeError, run_serve_bench
+
+from ..timing import interleaved_minima
 
 
 def make_grid_service(side=16, **options):
@@ -360,33 +360,32 @@ class TestAdviceService:
         graph = LocalGraph(grid(24, 24), seed=0)
         nodes = sorted(graph.nodes(), key=graph.id_of)
 
-        def timed(rate):
+        def block(rate):
             service = AdviceService(
                 TwoColoringSchema(spacing=8), graph, sample_rate=rate
             )
-            for v in nodes[:30]:  # warm the memo identically
-                service.query(v)
-            best = float("inf")
-            for _ in range(3):
-                t0 = time.perf_counter()
-                for i in range(300):
-                    service.query(nodes[i % len(nodes)])
-                best = min(best, time.perf_counter() - t0)
-            return best
 
-        baseline = timed(None)
-        unsampled = timed(0.0)
+            def run():
+                for v in nodes[:10]:
+                    service.query(v)
+
+            return run
+
+        # Short blocks, many rounds: a clean sample of each is likely.
+        baseline, unsampled = interleaved_minima([block(None), block(0.0)], 150)
         assert unsampled <= baseline * 1.10
 
-    def test_memoization_shares_answers_across_queries(self):
+    def test_repeated_queries_answer_identically_without_caching(self):
         service, graph = make_grid_service(side=16)
-        center = sorted(graph.nodes(), key=graph.id_of)[40]
-        first = service.query(center)
-        second = service.query(center)
-        assert not first.cache_hit and second.cache_hit
-        assert first.label == second.label
-        assert service.memo_size >= 1
-        assert service.registry.snapshot()["memo_hits_total"] >= 1
+        nodes = sorted(graph.nodes(), key=graph.id_of)
+        first = {v: service.query(v).label for v in nodes[:50]}
+        for i in range(500):
+            v = nodes[i % 50]
+            result = service.query(v)
+            assert result.label == first[v]
+            assert not result.cache_hit
+        assert service.memo_size == 0
+        assert service.stats.decide_calls == 550
 
     def test_invalid_advice_counts_errors_and_reraises(self):
         from repro.advice.schema import InvalidAdvice

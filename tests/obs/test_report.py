@@ -7,6 +7,7 @@ import pytest
 from repro.core.api import available_schemas
 from repro.obs.report import (
     append_history,
+    HISTORY_SCHEMA,
     build_provenance,
     check_history_drift,
     collect_report,
@@ -108,7 +109,8 @@ class TestHistory:
         history = load_history(path)
         assert len(history) == 1
         entry = history[0]
-        assert set(entry) == {"provenance", "metrics"}
+        assert set(entry) == {"history_schema", "provenance", "metrics"}
+        assert entry["history_schema"] == HISTORY_SCHEMA
         serving_rows = {
             f"serving:{c['case']}"
             for c in subset_report["serving"]["cases"]
@@ -166,6 +168,24 @@ class TestHistory:
         for row in older["metrics"].values():
             row.pop("bits_on_wire", None)
         assert check_history_drift(older, snapshot) == []
+
+    def test_version_1_entry_is_upgraded_before_diffing(self, subset_report):
+        # A version-1 entry recorded the view memo: its decide_calls are
+        # net of the memo's hits, which sit in view_cache_hits/memo_hits.
+        snapshot = history_snapshot(subset_report)
+        v1 = json.loads(json.dumps(snapshot))
+        del v1["history_schema"]
+        for name, row in v1["metrics"].items():
+            key = "memo_hits" if name.startswith("serving:") else "view_cache_hits"
+            row[key] = 2
+            row["decide_calls"] -= 2
+            if key == "view_cache_hits":
+                row["view_cache_misses"] = row["decide_calls"]
+        assert check_history_drift(v1, snapshot) == []
+        # Unmigrated counts still diff: a real decide_calls move is drift.
+        v1["metrics"]["2-coloring"]["view_cache_hits"] = 0
+        problems = check_history_drift(v1, snapshot)
+        assert any("decide_calls" in p for p in problems)
 
     def test_disappearing_metric_is_drift(self, subset_report):
         snapshot = history_snapshot(subset_report)
