@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 from typing import Dict, List, Optional
 
 from repro.core.api import available_schemas, default_instance, make_schema
 from repro.obs.bandwidth import LOCAL, OFF, use_bandwidth_policy
+from repro.perf import interleaved_minima
 
 #: Accounting metrics pinned by the baseline — all deterministic per seed.
 BANDWIDTH_TOLERANCES: Dict[str, float] = {
@@ -75,42 +75,25 @@ def overhead_cases(
 ) -> List[Dict[str, object]]:
     """Best-of-``repeats`` wall time of metered (local) vs unmetered (off).
 
-    The two policies are sampled interleaved (one off run, one local run,
-    repeat) and compared by their minima — the standard noise-robust
-    timing estimator; medians of a few ~5 ms runs drift by far more than
-    the 10% bound being checked.  GC is disabled while sampling (as
-    ``timeit`` does): the metered path allocates more, so collections
-    would otherwise land disproportionately inside the LOCAL samples.
+    The two policies are compared by :func:`repro.perf.interleaved_minima`
+    (interleaved, GC off, min-of-N); medians of a few ~5 ms runs drift by
+    far more than the 10% bound being checked, and with GC on the metered
+    path's extra allocations would pull collections into its samples.
     """
-    import gc
-
     cases = []
     for name in OVERHEAD_SCHEMAS:
         graph, kwargs = default_instance(name, n, seed)
         schema = make_schema(name, **kwargs)
 
-        def one(policy) -> float:
-            with use_bandwidth_policy(policy):
-                t0 = time.perf_counter()
-                run = schema.run(graph)
-                elapsed = time.perf_counter() - t0
-            assert run.valid
-            return elapsed
+        def one(policy):
+            def run_once() -> None:
+                with use_bandwidth_policy(policy):
+                    run = schema.run(graph)
+                assert run.valid
 
-        one(OFF), one(LOCAL)  # warm caches outside the timed samples
-        off_samples, local_samples = [], []
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(repeats):
-                off_samples.append(one(OFF))
-                local_samples.append(one(LOCAL))
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        off_s = min(off_samples)
-        local_s = min(local_samples)
+            return run_once
+
+        off_s, local_s = interleaved_minima([one(OFF), one(LOCAL)], repeats)
         cases.append(
             {
                 "case": f"overhead-{name}",

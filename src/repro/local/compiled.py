@@ -97,7 +97,7 @@ class CompiledGraph:
         self.epoch: int = 0
         # BFS scratch: -1 means "unvisited"; reset_scratch restores it.
         # This default scratch belongs to the serial sweep loop ONLY —
-        # concurrent sweeps (batched/parallel engines, threads) must bring
+        # concurrent sweeps (the batched engine, threads) must bring
         # their own allocation via new_scratch()/bfs_fill(dist=...).
         self._dist: List[int] = [-1] * n
         # Lazily built numpy snapshots of (indptr, indices, ids) for the
@@ -143,8 +143,8 @@ class CompiledGraph:
         """A fresh distance scratch array (all ``-1``) for one sweep owner.
 
         The shared :attr:`_dist` scratch is only safe for strictly serial
-        sweeps; any caller that may interleave sweeps (the batched and
-        parallel engines, threaded callers, generators held across calls)
+        sweeps; any caller that may interleave sweeps (the batched engine,
+        threaded callers, generators held across calls)
         must allocate its own scratch here and pass it to :meth:`bfs_fill`
         / :meth:`reset_scratch` explicitly.
         """

@@ -54,7 +54,7 @@ class SimulationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 #: the engines run_view_algorithm dispatches between (see docs/performance.md)
-ENGINES = ("auto", "scalar", "vectorized", "parallel")
+ENGINES = ("auto", "scalar", "vectorized")
 
 #: below this node count ``auto`` stays scalar: the numpy sweep's fixed
 #: per-call overhead (array setup, mask allocation) beats the win on tiny
@@ -97,11 +97,10 @@ def _resolve_engine(engine: Optional[str], graph: LocalGraph) -> str:
     """Resolve ``engine`` (or the ambient default) to a concrete engine.
 
     ``auto`` picks ``vectorized`` when numpy is importable and the graph
-    has at least :data:`AUTO_VECTORIZE_MIN_NODES` nodes, else ``scalar``;
-    it never picks ``parallel`` (process pools only pay off on multi-core
-    hosts with big graphs — an explicit opt-in).  A ``vectorized`` request
-    without numpy degrades to ``scalar`` with a warning rather than
-    failing: engine choice must never change whether a run succeeds.
+    has at least :data:`AUTO_VECTORIZE_MIN_NODES` nodes, else ``scalar``.
+    A ``vectorized`` request without numpy degrades to ``scalar`` with a
+    warning rather than failing: engine choice must never change whether
+    a run succeeds.
     """
     if engine is None:
         engine = _ENGINE_VAR.get()
@@ -143,7 +142,7 @@ class RunResult:
         executed rounds until every node halted.
     stats:
         :class:`repro.perf.SimStats` counters/timers for the run (views
-        gathered, cache hits, BFS node-visits, per-phase wall time).
+        gathered, decide calls, BFS node-visits, per-phase wall time).
     """
 
     outputs: Dict[Node, object]
@@ -185,7 +184,6 @@ def run_view_algorithm(
     advice: Optional[Mapping[Node, str]] = None,
     tracer=None,
     engine: Optional[str] = None,
-    pool_size: Optional[int] = None,
 ) -> RunResult:
     """Run the ``radius``-round view algorithm ``decide`` on every node.
 
@@ -196,12 +194,8 @@ def run_view_algorithm(
     * ``"vectorized"`` — one masked multi-source numpy sweep over the
       compiled CSR for all roots (:mod:`repro.local.vectorized`), with
       lazy views;
-    * ``"parallel"`` — a shared-nothing process pool over contiguous root
-      chunks (:mod:`repro.local.parallel`), gated on the static linter
-      certifying ``decide`` pure; falls back to a serial engine (with a
-      warning) when the gate refuses.  ``pool_size`` caps its workers.
     * ``"auto"`` (default) — ``vectorized`` when numpy is available and
-      the graph is non-trivial, else ``scalar``; never ``parallel``.
+      the graph is non-trivial, else ``scalar``.
     * ``None`` — the ambient engine from :func:`use_engine` (``"auto"``
       unless a caller such as ``solve_with_advice`` chose otherwise).
 
@@ -214,22 +208,6 @@ def run_view_algorithm(
     if tracer is None:
         tracer = NULL_TRACER
     resolved = _resolve_engine(engine, graph)
-    if resolved == "parallel":
-        from .parallel import run_view_algorithm_parallel
-
-        result = run_view_algorithm_parallel(
-            graph,
-            radius,
-            decide,
-            advice=advice,
-            tracer=tracer,
-            pool_size=pool_size,
-        )
-        if result is not None:
-            return result
-        # Gate refused (impure or unpicklable decider): the warning has
-        # fired; decode serially with the best remaining engine.
-        resolved = _resolve_engine("auto", graph)
     tracing = tracer.enabled
     stats = SimStats()
     stats.engine = resolved

@@ -11,14 +11,18 @@ The counters are plain integers and the timers are ``perf_counter``
 deltas — cheap enough to stay on by default.  ``benchmarks/
 bench_simulation_core.py`` serializes them (via :meth:`SimStats.as_dict`)
 into its JSON report.
+
+Wall-time comparisons between code paths go through one estimator,
+:func:`interleaved_minima`.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Callable, Dict, Iterator, List, Sequence
 
 
 @dataclass
@@ -51,13 +55,11 @@ class SimStats:
     decide_calls: int = 0
     messages_delivered: int = 0
     bits_on_wire: int = 0
-    #: which execution engine produced the run (``"scalar"``,
-    #: ``"vectorized"``, ``"parallel"``; empty for message passing and
-    #: legacy call sites) and, for the parallel engine, its worker count.
-    #: Both surface in :meth:`as_dict` only when set, so runs that predate
+    #: which execution engine produced the run (``"scalar"`` or
+    #: ``"vectorized"``; empty for message passing and legacy call sites).
+    #: It surfaces in :meth:`as_dict` only when set, so runs that predate
     #: the engine dispatch keep their exact telemetry shape.
     engine: str = ""
-    pool_size: int = 0
     #: the run's :class:`repro.obs.bandwidth.BandwidthProfile` (None when
     #: nothing was metered); excluded from equality like the phase stack.
     bandwidth: object = field(default=None, repr=False, compare=False)
@@ -124,7 +126,6 @@ class SimStats:
             self.bandwidth = other.bandwidth
         if not self.engine:
             self.engine = other.engine
-        self.pool_size = max(self.pool_size, other.pool_size)
         for name, seconds in other.phase_seconds.items():
             self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
         for name, seconds in other.phase_self_seconds.items():
@@ -138,8 +139,6 @@ class SimStats:
         out: Dict[str, object] = {}
         if self.engine:
             out["engine"] = self.engine
-        if self.pool_size:
-            out["pool_size"] = self.pool_size
         return {
             **out,
             "views_gathered": self.views_gathered,
@@ -168,3 +167,32 @@ class Timer:
 
     def __exit__(self, *exc: object) -> None:
         self.seconds = time.perf_counter() - self._start
+
+
+def interleaved_minima(
+    variants: Sequence[Callable[[], object]], repeats: int
+) -> List[float]:
+    """Minimum wall time of each zero-argument callable over ``repeats`` rounds.
+
+    The variants are sampled interleaved (one sample of each, then
+    repeat) with garbage collection disabled, after one untimed warm-up
+    call each.  Sequential best-of-few timing lets a burst of host load
+    land on one variant only; interleaving spreads it over all of them,
+    and the minimum discards the bursts.
+    """
+    for fn in variants:
+        fn()
+    best = [float("inf")] * len(variants)
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            for i, fn in enumerate(variants):
+                t0 = time.perf_counter()
+                fn()
+                best[i] = min(best[i], time.perf_counter() - t0)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return best

@@ -165,6 +165,14 @@ class ClusterColoringSchema(AdviceSchema):
                 f"{len(missing)} nodes were not covered by any cluster",
                 node=min(missing, key=graph.id_of),
             )
+        # Members of one cluster get distinct local colors, so a clash means
+        # two adjacent clusters carry the same color: corrupted advice.
+        for u, v in graph.edges():
+            if labeling[u] == labeling[v]:
+                raise InvalidAdvice(
+                    "adjacent clusters share a cluster color",
+                    node=clustering.cluster_of(u),
+                )
 
         # Linial reduction: one round per step, until no further shrinking.
         linial_rounds = 0

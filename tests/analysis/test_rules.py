@@ -194,6 +194,36 @@ class TestLOC002:
         assert rules_of(found) == ["LOC002"]
         assert found[0].function == "Schema._helper"
 
+    def test_helper_reached_through_module_call(self, tmp_path):
+        found = lint_source(
+            tmp_path,
+            """
+            import random
+
+            def decide(view):
+                return _helper(view)
+
+            def _helper(view):
+                return random.choice(sorted(view.nodes))
+            """,
+        )
+        assert rules_of(found) == ["LOC002"]
+        assert [v.function for v in found] == ["_helper"]
+
+    def test_lint_waiver_silences(self, tmp_path):
+        found = lint_source(
+            tmp_path,
+            """
+            from repro.analysis import lint_waiver
+
+            @lint_waiver("LOC002", "seeded via the view, reproducible")
+            def decide(view):
+                return hash(frozenset(view.nodes))
+            """,
+        )
+        assert rules_of(found) == []
+        assert any(v.rule == "LOC002" and v.waived for v in found)
+
 
 class TestLOC003:
     def test_global_decl_flagged(self, tmp_path):
@@ -209,6 +239,36 @@ class TestLOC003:
             """,
         )
         assert "LOC003" in rules_of(found)
+
+    def test_module_state_write_flagged(self, tmp_path):
+        found = lint_source(
+            tmp_path,
+            """
+            _cache = {}
+
+            def decide(view):
+                _cache[view.center] = 1
+                return 0
+            """,
+        )
+        assert rules_of(found) == ["LOC003"]
+
+    def test_nonlocal_write_flagged(self, tmp_path):
+        found = lint_source(
+            tmp_path,
+            """
+            def make_decider():
+                calls = 0
+
+                def decide(view):
+                    nonlocal calls
+                    calls += 1
+                    return calls
+
+                return decide
+            """,
+        )
+        assert rules_of(found) == ["LOC003"]
 
     def test_mutating_closure_flagged(self, tmp_path):
         found = lint_source(

@@ -68,6 +68,24 @@ class TestRepair:
         assert report.final_valid
         assert not report.escalated
 
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(seed=177858710, advice_swaps=4),
+            FaultPlan(seed=190546593, advice_flips=4),
+        ],
+        ids=["swaps", "flips"],
+    )
+    def test_clashing_delta_coloring_clusters_heal(self, plan):
+        # The corruption gives two adjacent clusters one cluster color; the
+        # decoder must report it as InvalidAdvice, not crash the runner.
+        graph, schema = _setup("delta-coloring", n=256)
+        run = RobustRunner(schema).run(graph, plan=plan, advice=schema.encode(graph))
+        report = run.robustness
+        assert report.decode_errors >= 1
+        assert report.final_valid
+        assert run.valid
+
     def test_report_is_reproducible_bit_for_bit(self):
         graph, schema = _setup()
         plan = FaultPlan(seed=0, advice_flips=2)

@@ -1,14 +1,12 @@
 """Engine-independence: every schema, every engine, identical labelings.
 
-The acceptance bar of the vectorized/parallel engines: all registered
-schemas produce **bit-identical** labelings under ``scalar``,
-``vectorized``, and ``parallel``, engine choice lands in
+The acceptance bar of the vectorized engine: all registered schemas
+produce **bit-identical** labelings under ``scalar`` and
+``vectorized``, engine choice lands in
 ``SchemaRun.telemetry``, and :meth:`WorkProfile.reconcile` balances
 exactly on every engine — per-span counter shares sum to the engine
 totals regardless of which engine declared them.
 """
-
-import warnings
 
 import pytest
 
@@ -23,16 +21,12 @@ from repro.local.model import current_engine
 from repro.local.vectorized import numpy_available
 from repro.obs.profile import profile_run
 
-ENGINES = ["scalar", "vectorized", "parallel"]
+ENGINES = ["scalar", "vectorized"]
 
 
 def _solve(name, engine, seed=11):
     graph, kwargs = default_instance(name, 64, seed=seed)
-    with warnings.catch_warnings():
-        # the parallel pool may decline (impure/unpicklable decider) and
-        # fall back with a RuntimeWarning — fallback is the contract here
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return solve_with_advice(name, graph, engine=engine, **kwargs)
+    return solve_with_advice(name, graph, engine=engine, **kwargs)
 
 
 @pytest.mark.parametrize("name", available_schemas())
@@ -51,9 +45,6 @@ def test_engine_recorded_in_telemetry():
         pytest.skip("vectorized engine requires numpy")
     run = _solve("2-coloring", "vectorized")
     assert run.telemetry["engine"] == "vectorized"
-    run = _solve("2-coloring", "parallel")
-    assert run.telemetry["engine"] == "parallel"
-    assert run.telemetry["pool_size"] >= 1
     run = _solve("2-coloring", "scalar")
     assert run.telemetry["engine"] == "scalar"
 
@@ -63,10 +54,8 @@ def test_engine_recorded_in_telemetry():
 def test_reconcile_balances_on_every_engine(engine, name):
     graph, kwargs = default_instance(name, 64, seed=5)
     schema = make_schema(name, **kwargs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with use_engine(engine):
-            run, profile = profile_run(schema, graph)
+    with use_engine(engine):
+        run, profile = profile_run(schema, graph)
     assert profile.reconcile(run.telemetry) == []
 
 
@@ -80,12 +69,13 @@ def test_use_engine_scopes_and_restores():
     assert current_engine() == "auto"
 
 
-def test_unknown_engine_rejected():
+@pytest.mark.parametrize("engine", ["warp-drive", "parallel"])
+def test_unknown_engine_rejected(engine):
     from repro.local import SimulationError
 
     with pytest.raises(SimulationError):
-        with use_engine("warp-drive"):
+        with use_engine(engine):
             pass  # pragma: no cover
     graph, kwargs = default_instance("2-coloring", 16, seed=0)
     with pytest.raises(SimulationError):
-        solve_with_advice("2-coloring", graph, engine="warp-drive", **kwargs)
+        solve_with_advice("2-coloring", graph, engine=engine, **kwargs)

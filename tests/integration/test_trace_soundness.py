@@ -16,9 +16,8 @@ from repro.graphs import binary_tree, cycle, grid, random_regular
 from repro.local import LocalGraph, run_message_passing, run_view_algorithm
 from repro.local.model import MessagePassingAlgorithm
 from repro.obs import NULL_TRACER, RingSink, Tracer
+from repro.perf import interleaved_minima
 from repro.schemas import BalancedOrientationSchema, TwoColoringSchema
-
-from ..timing import interleaved_minima
 
 seeds = st.integers(min_value=0, max_value=10**6)
 

@@ -143,7 +143,7 @@ class TestScratchConcurrencySafety:
     """Interleaved BFS sweeps must not corrupt each other's distances.
 
     The shared ``_dist`` scratch is only safe for strictly serial sweeps;
-    callers that interleave (the batched/parallel engines, generators held
+    callers that interleave (the batched engine, generators held
     across calls) must bring their own allocation via ``new_scratch()``.
     """
 

@@ -28,10 +28,9 @@ from repro.obs.live import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, LogicalClock, RingSink, Tracer
+from repro.perf import interleaved_minima
 from repro.schemas.two_coloring import TwoColoringSchema
 from repro.serve import AdviceService, ServeError, run_serve_bench
-
-from ..timing import interleaved_minima
 
 
 def make_grid_service(side=16, **options):
