@@ -19,7 +19,7 @@ so benchmarks can sweep them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional
 
 from ..local.graph import LocalGraph, Node
 from .bitstream import CodecError, pack_parts, unpack_parts
@@ -134,51 +134,6 @@ class ComposedSchema(AdviceSchema):
                 patched[u] = ""
                 changed = True
         return patched if changed else None
-
-    def repair_advice_for_mutation(
-        self,
-        graph: LocalGraph,
-        advice: Mapping[Node, str],
-        sites: Sequence[Node],
-        radius: int,
-        labeling: Optional[Mapping[Node, object]] = None,
-    ) -> Optional[AdviceMap]:
-        """Structure-preserving churn repair for packed composed advice.
-
-        Unpacks the two payload layers, blanks packings that no longer
-        parse, delegates the ``Pi_1`` layer to ``first``'s own mutation
-        hook (the maintained labeling solves ``Pi_2``, so it is *not*
-        forwarded — the first stage repairs blind), then re-packs with the
-        original :func:`pack_parts` framing.
-        """
-        advice1: AdviceMap = {}
-        advice2: AdviceMap = {}
-        blanked = False
-        for v in graph.nodes():
-            packed = advice.get(v, "")
-            if not packed:
-                advice1[v] = ""
-                advice2[v] = ""
-                continue
-            try:
-                part1, part2 = unpack_parts(packed, 2)
-            except CodecError:
-                part1, part2 = "", ""
-                blanked = True
-            advice1[v] = part1
-            advice2[v] = part2
-        patched1 = self.first.repair_advice_for_mutation(
-            graph, advice1, sites, radius, None
-        )
-        if patched1 is None and not blanked:
-            return None
-        if patched1 is not None:
-            advice1 = dict(patched1)
-        merged: AdviceMap = {}
-        for v in graph.nodes():
-            parts = [advice1.get(v, ""), advice2.get(v, "")]
-            merged[v] = pack_parts(parts) if any(parts) else ""
-        return merged
 
 
 def compose(first: AdviceSchema, second: OracleSchema) -> ComposedSchema:

@@ -338,7 +338,7 @@ class AdviceSchema(abc.ABC):
         advice: Mapping[Node, str],
         sites: Sequence[Node],
         radius: int,
-        labeling: Optional[Mapping[Node, Label]] = None,
+        labeling: Mapping[Node, Label],
     ) -> Optional[AdviceMap]:
         """Schema-specific advice patch after a topology mutation (churn).
 
@@ -348,9 +348,11 @@ class AdviceSchema(abc.ABC):
         ``labeling`` the maintained valid solution — the Section 6
         ball/shift argument lets implementations re-derive fresh bits for
         ``graph.ball(site, radius)`` from it, leaving all other advice
-        verbatim.  Bits may only be rewritten inside those balls.  Return
-        the patched map, or ``None`` when no patch is needed/offered (the
-        churn runner then keeps the old bits or escalates to re-encode).
+        verbatim.  Bits may only be rewritten inside those balls, and a
+        patch must be one whose cold decode is valid: only schemas whose
+        bits are a function of the labeling override this.  Return the
+        patched map, or ``None`` when no patch is needed/offered (the
+        churn runner then keeps the old bits).
         """
         return None
 

@@ -10,15 +10,17 @@ the Section 6 ball/shift sense:
    confined (the deleted edge lies on a short cycle, the inserted edge
    joins nearby nodes) or far-reaching (``split`` / ``join``).
 2. **Local label repair** — verify only the balls around the mutation
-   sites; violations are healed by the annulus-fixed escalating ball
-   re-solve of PR 4's :class:`~repro.faults.RobustRunner` (the same
-   :func:`~repro.lcl.solve.solve_exact` primitive, the same soundness
-   argument: the pre-mutation labeling was valid and the LCL predicate
-   has bounded radius, so any residual violation lives near a site).
-3. **Advice patch** — the schema's
+   sites; violations are healed by the shared local-repair kernel
+   (:func:`~repro.faults.runner.repair_labels`, the annulus-fixed
+   escalating ball re-solve that :class:`~repro.faults.RobustRunner` also
+   runs).  It is sound here for the same reason: the pre-mutation
+   labeling was valid and the LCL predicate has bounded radius, so any
+   residual violation lives near a site.
+3. **Advice patch** — where a schema can re-derive bits from the
+   maintained labeling (2- and 3-coloring), its
    :meth:`~repro.advice.schema.AdviceSchema.repair_advice_for_mutation`
-   hook re-derives fresh bits for the affected balls from the maintained
-   labeling, leaving every other node's advice verbatim.
+   hook rewrites the affected balls, leaving every other node's advice
+   verbatim.  Other schemas keep their old bits.
 4. **Escalate** — only when locality fails: a full re-encode bounded by
    a retry budget with deterministic logical backoff; an exhausted
    budget is a clean recorded failure, never a loop.
@@ -34,14 +36,18 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..advice.schema import (
-    AdviceError,
     AdviceMap,
     AdviceSchema,
+    DecodeResult,
     validate_advice_map,
 )
-from ..faults.runner import _annulus, _clusters
+from ..faults.runner import repair_labels, retry_global, valid_at
 from ..lcl.problem import Label, LCLProblem
-from ..lcl.solve import SearchBudgetExceeded, solve_exact
+
+# The kernel's solver call resolves through ``repro.faults.runner``; this
+# name stays only because ``perfbench/tracing.py`` wraps ``solve_exact`` on
+# both runner modules to time the ``lcl.solve`` layer.
+from ..lcl.solve import solve_exact  # noqa: F401
 from ..local.graph import LocalGraph, Node
 from ..obs.churn import (
     RESOLVED_FAILED,
@@ -51,7 +57,7 @@ from ..obs.churn import (
     MutationRecord,
 )
 from ..obs.metrics import MetricsRegistry
-from ..obs.robustness import ADVICE_PATCH, BALL_RESOLVE, GLOBAL_RESOLVE, RepairAction
+from ..obs.robustness import ADVICE_PATCH, BALL_RESOLVE, RepairAction
 from ..obs.trace import NULL_TRACER, Tracer
 from .plan import Mutation
 
@@ -221,15 +227,6 @@ class ChurnRunner:
 
     # -- local label repair -----------------------------------------------------
 
-    def _is_valid_at(self, problem: LCLProblem, v: Node) -> bool:
-        if v not in self.labeling:
-            return False
-        try:
-            return problem.is_valid_at(self.graph, self.labeling, v)
-        except KeyError:
-            # An unlabeled node (fresh insert) inside the checked ball.
-            return False
-
     def _region_violations(
         self, problem: LCLProblem, sites: Sequence[Node], radius: int
     ) -> List[Node]:
@@ -239,67 +236,9 @@ class ChurnRunner:
         for s in sites:
             region.update(graph.ball(s, radius + problem.radius))
         return sorted(
-            (v for v in region if not self._is_valid_at(problem, v)),
+            (v for v in region if not valid_at(problem, graph, self.labeling, v)),
             key=graph.id_of,
         )
-
-    def _ball_radii(self, r0: int) -> List[int]:
-        cap = max(self.max_ball_radius, r0)
-        return sorted({min(cap, r0 + step) for step in (0, 1, 2, 4)} | {cap})
-
-    def _repair_labels(
-        self,
-        problem: LCLProblem,
-        bad: List[Node],
-        record: MutationRecord,
-    ) -> Tuple[List[Node], int]:
-        """Annulus-fixed escalating ball re-solve around the bad nodes.
-
-        Returns the residual violations and the largest radius used by a
-        successful repair (PR 4's primitive, applied to churn events).
-        """
-        graph, registry = self.graph, self.registry
-        r0 = problem.radius
-        used = 0
-        for radius in self._ball_radii(r0):
-            if not bad:
-                break
-            threshold = 2 * (radius + 2 * r0) + 1
-            for cluster in _clusters(graph, bad, threshold):
-                interior: Set[Node] = set()
-                for v in cluster:
-                    interior.update(graph.ball(v, radius))
-                annulus = _annulus(graph, interior, 2 * r0)
-                fixed = {u: self.labeling[u] for u in annulus if u in self.labeling}
-                try:
-                    with self.tracer.span(
-                        "churn_repair", kind=BALL_RESOLVE, radius=radius
-                    ):
-                        solution = solve_exact(
-                            problem,
-                            graph,
-                            fixed=fixed,
-                            restrict_to=sorted(interior, key=graph.id_of),
-                            max_steps=self.max_solver_steps,
-                        )
-                except SearchBudgetExceeded:
-                    solution = None
-                seed_node = min(cluster, key=graph.id_of)
-                if solution is None:
-                    record.actions.append(
-                        RepairAction(BALL_RESOLVE, seed_node, radius, False)
-                    )
-                    continue
-                for w in interior:
-                    self.labeling[w] = solution[w]
-                used = max(used, radius)
-                record.actions.append(
-                    RepairAction(BALL_RESOLVE, seed_node, radius, True)
-                )
-                registry.counter("repairs_local_total").inc()
-                registry.histogram("repair_radius").observe(radius)
-            bad = [v for v in bad if not self._is_valid_at(problem, v)]
-        return bad, used
 
     # -- escalation --------------------------------------------------------------
 
@@ -307,55 +246,26 @@ class ChurnRunner:
         """Full re-encode + decode, bounded by the retry budget."""
         schema, graph = self.schema, self.graph
         self.registry.counter("reencode_fallbacks_total").inc()
-        for attempt in range(1, self.reencode_budget + 1):
-            backoff = self.backoff_base ** (attempt - 1)
-            try:
-                with self.tracer.span(
-                    "churn_repair", kind=GLOBAL_RESOLVE, attempt=attempt
-                ):
-                    advice = {
-                        v: bits for v, bits in schema.encode(graph).items()
-                    }
-                    for v in graph.nodes():
-                        advice.setdefault(v, "")
-                    result = schema.decode(graph, advice)
-            except AdviceError as exc:
-                record.actions.append(
-                    RepairAction(
-                        GLOBAL_RESOLVE,
-                        None,
-                        -1,
-                        success=False,
-                        detail=(
-                            f"reencode attempt {attempt}/{self.reencode_budget}"
-                            f" raised {type(exc).__name__}; backoff {backoff}"
-                        ),
-                    )
-                )
-                continue
-            labeling = dict(result.labeling)
-            if schema.check_solution(graph, labeling):
-                self.advice = advice
-                self.labeling = labeling
-                record.actions.append(
-                    RepairAction(
-                        GLOBAL_RESOLVE, None, -1, success=True, detail="reencode"
-                    )
-                )
-                return True
-            record.actions.append(
-                RepairAction(
-                    GLOBAL_RESOLVE,
-                    None,
-                    -1,
-                    success=False,
-                    detail=(
-                        f"reencode attempt {attempt}/{self.reencode_budget}"
-                        f" decoded invalid; backoff {backoff}"
-                    ),
-                )
-            )
-        return False
+
+        def attempt() -> Tuple[AdviceMap, DecodeResult]:
+            advice = {v: bits for v, bits in schema.encode(graph).items()}
+            for v in graph.nodes():
+                advice.setdefault(v, "")
+            return advice, schema.decode(graph, advice)
+
+        advice, labeling = retry_global(
+            attempt,
+            lambda labels: schema.check_solution(graph, labels),
+            self.reencode_budget,
+            self.backoff_base,
+            "reencode",
+            record.actions,
+            self.tracer,
+        )
+        if advice is None:
+            return False
+        self.advice, self.labeling = advice, labeling
+        return True
 
     # -- entry point --------------------------------------------------------------
 
@@ -392,14 +302,22 @@ class ChurnRunner:
                     bad = [
                         v
                         for v in graph.nodes()
-                        if not self._is_valid_at(problem, v)
+                        if not valid_at(problem, graph, self.labeling, v)
                     ]
                     bad.sort(key=graph.id_of)
                 else:
                     bad = self._region_violations(problem, sites, problem.radius)
                 if bad:
-                    residual, label_radius = self._repair_labels(
-                        problem, bad, record
+                    residual, label_radius = repair_labels(
+                        graph,
+                        problem,
+                        self.labeling,
+                        bad,
+                        self.max_ball_radius,
+                        self.max_solver_steps,
+                        record.actions,
+                        self.tracer,
+                        registry,
                     )
             elif any(v not in self.labeling for v in sites):
                 # No label-level repair possible; force escalation below.

@@ -18,20 +18,25 @@ plain driver, but treats failures as things to *heal* instead of report:
    Section 4 encoder uses, and the generic form of the Section 6
    Delta-repair ball recoloring).
 3. Only when every radius-bounded strategy is exhausted does the runner
-   fall back to a **global re-solve** (fresh re-encode + re-decode), which
-   the :class:`~repro.obs.robustness.RobustnessReport` counts as an
-   escalation.
+   fall back to a **global re-solve** (a budgeted re-decode of the clean
+   advice), which the :class:`~repro.obs.robustness.RobustnessReport`
+   counts as an escalation.
 
 Soundness of the ball re-solve: clusters are merged aggressively enough
 that each repair ball's annulus contains no *other* cluster's violations,
 and the catalog predicates are monotone under refinement, so a patch that
 satisfies the solver is exact — it can only remove violations, never leak
 new ones past the annulus.
+
+The ball re-solve (:func:`repair_labels`) and the budgeted global fallback
+(:func:`retry_global`) live at module level because they are the shared
+local-repair kernel: :class:`~repro.dynamic.runner.ChurnRunner` runs the
+same two functions on the sites of a topology mutation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..advice.schema import (
     AdviceError,
@@ -121,6 +126,132 @@ def _annulus(graph: LocalGraph, interior: Set[Node], width: int) -> List[Node]:
                     ring.append(y)
         frontier = nxt
     return ring
+
+
+def valid_at(
+    problem: LCLProblem,
+    graph: LocalGraph,
+    labeling: Mapping[Node, Label],
+    v: Node,
+) -> bool:
+    """Is ``v`` labeled, with its constraint satisfied?
+
+    A label missing inside ``v``'s ball (a fresh insert) or a per-port
+    label whose arity no longer matches its node's ports (an edge label
+    after a degree change) is a violation here, not an error.
+    """
+    if v not in labeling:
+        return False
+    try:
+        return problem.is_valid_at(graph, labeling, v)
+    except (KeyError, IndexError):
+        return False
+
+
+def repair_labels(
+    graph: LocalGraph,
+    problem: LCLProblem,
+    labeling: Dict[Node, Label],
+    bad: Sequence[Node],
+    max_ball_radius: int,
+    max_solver_steps: int,
+    actions: List[RepairAction],
+    tracer: Tracer,
+    registry: MetricsRegistry,
+) -> Tuple[List[Node], int]:
+    """Heal ``bad`` in place by annulus-fixed escalating-radius ball re-solve.
+
+    Bad nodes are clustered, each cluster's ball is brute-forced against
+    the LCL with a width-``2r`` annulus pinned, and the radius grows
+    ``r + {0, 1, 2, 4, 8}`` up to ``max(max_ball_radius, r)``.  Only the
+    still-bad nodes are re-checked between radii: the pinned annulus keeps
+    every repair from creating violations elsewhere.  Returns the residual
+    violations and the largest radius of a successful repair.
+    """
+    r0 = problem.radius
+    cap = max(max_ball_radius, r0)
+    used = 0
+    for radius in sorted({min(cap, r0 + step) for step in (0, 1, 2, 4, 8)} | {cap}):
+        if not bad:
+            break
+        threshold = 2 * (radius + 2 * r0) + 1
+        for cluster in _clusters(graph, bad, threshold):
+            interior: Set[Node] = set()
+            for v in cluster:
+                interior.update(graph.ball(v, radius))
+            annulus = _annulus(graph, interior, 2 * r0)
+            fixed = {u: labeling[u] for u in annulus if u in labeling}
+            try:
+                with tracer.span(
+                    "repair", kind=BALL_RESOLVE, radius=radius, cluster=len(cluster)
+                ):
+                    solution = solve_exact(
+                        problem,
+                        graph,
+                        fixed=fixed,
+                        restrict_to=sorted(interior, key=graph.id_of),
+                        max_steps=max_solver_steps,
+                    )
+            except SearchBudgetExceeded:
+                solution = None
+            seed_node = min(cluster, key=graph.id_of)
+            if solution is None:
+                actions.append(RepairAction(BALL_RESOLVE, seed_node, radius, False))
+                continue
+            for w in interior:
+                labeling[w] = solution[w]
+            used = max(used, radius)
+            actions.append(RepairAction(BALL_RESOLVE, seed_node, radius, True))
+            registry.counter("repairs_local_total").inc()
+            registry.histogram("repair_radius").observe(radius)
+        bad = [v for v in bad if not valid_at(problem, graph, labeling, v)]
+    return list(bad), used
+
+
+def retry_global(
+    attempt: Callable[[], Tuple[AdviceMap, DecodeResult]],
+    is_valid: Callable[[Mapping[Node, Label]], bool],
+    budget: int,
+    backoff_base: int,
+    label: str,
+    actions: List[RepairAction],
+    tracer: Tracer,
+) -> Tuple[Optional[AdviceMap], Dict[Node, Label]]:
+    """The global fallback: retry ``attempt`` until it decodes valid.
+
+    Each attempt that raises an :class:`AdviceError` or decodes invalid
+    burns one unit of ``budget`` and records a deterministic logical
+    backoff of ``backoff_base ** (k - 1)`` ticks (recorded, never slept —
+    runs stay bit-reproducible).  Returns the advice and labeling of the
+    first valid attempt; on an exhausted budget the advice is ``None`` and
+    the labeling is the last one decoded (empty if none was).
+    """
+    labeling: Dict[Node, Label] = {}
+    for k in range(1, budget + 1):
+        backoff = backoff_base ** (k - 1)
+        try:
+            with tracer.span("repair", kind=GLOBAL_RESOLVE, attempt=k):
+                advice, result = attempt()
+        except AdviceError as exc:
+            outcome = f"raised {type(exc).__name__}"
+        else:
+            labeling = dict(result.labeling)
+            if is_valid(labeling):
+                actions.append(
+                    RepairAction(GLOBAL_RESOLVE, None, -1, success=True, detail=label)
+                )
+                return advice, labeling
+            outcome = "decoded invalid"
+        actions.append(
+            RepairAction(
+                GLOBAL_RESOLVE,
+                None,
+                -1,
+                success=False,
+                detail=f"{label} attempt {k}/{budget} {outcome}; backoff {backoff}",
+            )
+        )
+    return None, labeling
 
 
 class RobustRunner:
@@ -249,8 +380,16 @@ class RobustRunner:
                             ring=tracer.ring(),
                         )
                         if problem is not None and bad:
-                            labeling = self._repair_labels(
-                                graph, problem, labeling, report
+                            repair_labels(
+                                graph,
+                                problem,
+                                labeling,
+                                bad,
+                                self.max_ball_radius,
+                                self.max_solver_steps,
+                                report.actions,
+                                tracer,
+                                registry,
                             )
                             valid = self._valid(graph, labeling)
                         if not valid:
@@ -258,9 +397,19 @@ class RobustRunner:
                                 graph, clean, working, labeling, problem, report
                             )
                         if not valid:
-                            labeling, valid = self._global_fallback(
-                                graph, clean, report
+                            report.escalated = True
+                            fresh = {v: clean.get(v, "") for v in graph.nodes()}
+                            fallback, labeling = retry_global(
+                                lambda: (fresh, schema.decode(graph, fresh)),
+                                lambda labels: self._valid(graph, labels),
+                                self.escalate_budget,
+                                self.backoff_base,
+                                "verify",
+                                report.actions,
+                                tracer,
                             )
+                            valid = fallback is not None
+                            report.gave_up = not valid
                 if report.detected:
                     registry.counter("faults_detected_total").inc()
                 if report.escalated:
@@ -441,68 +590,6 @@ class RobustRunner:
         report.actions.append(action)
         return {v: clean.get(v, "") for v in graph.nodes()}
 
-    # -- stage 1: escalating-radius ball re-solve ----------------------------
-
-    def _ball_radii(self, r0: int) -> List[int]:
-        cap = max(self.max_ball_radius, r0)
-        radii = sorted(
-            {min(cap, r0 + step) for step in (0, 1, 2, 4, 8)} | {cap}
-        )
-        return radii
-
-    def _repair_labels(
-        self,
-        graph: LocalGraph,
-        problem: LCLProblem,
-        labeling: Dict[Node, Label],
-        report: RobustnessReport,
-    ) -> Dict[Node, Label]:
-        """Heal verifier violations by brute-forcing escalating balls."""
-        tracer, registry = self.tracer, self.registry
-        labeling = dict(labeling)
-        r0 = problem.radius
-        for radius in self._ball_radii(r0):
-            bad = self._violations(graph, problem, labeling)
-            if not bad:
-                break
-            threshold = 2 * (radius + 2 * r0) + 1
-            for cluster in _clusters(graph, bad, threshold):
-                interior: Set[Node] = set()
-                for v in cluster:
-                    interior.update(graph.ball(v, radius))
-                annulus = _annulus(graph, interior, 2 * r0)
-                fixed = {u: labeling[u] for u in annulus if u in labeling}
-                try:
-                    with tracer.span(
-                        "repair",
-                        kind=BALL_RESOLVE,
-                        radius=radius,
-                        cluster=len(cluster),
-                    ):
-                        solution = solve_exact(
-                            problem,
-                            graph,
-                            fixed=fixed,
-                            restrict_to=sorted(interior, key=graph.id_of),
-                            max_steps=self.max_solver_steps,
-                        )
-                except SearchBudgetExceeded:
-                    solution = None
-                seed_node = min(cluster, key=graph.id_of)
-                if solution is None:
-                    report.actions.append(
-                        RepairAction(BALL_RESOLVE, seed_node, radius, False)
-                    )
-                    continue
-                for w in interior:
-                    labeling[w] = solution[w]
-                report.actions.append(
-                    RepairAction(BALL_RESOLVE, seed_node, radius, True)
-                )
-                registry.counter("repairs_local_total").inc()
-                registry.histogram("repair_radius").observe(radius)
-        return labeling
-
     # -- stage 2: advice re-request + re-decode ------------------------------
 
     def _refetch_and_redecode(
@@ -554,65 +641,3 @@ class RobustRunner:
                 )
             )
         return labeling, working, False
-
-    # -- stage 3: global fallback --------------------------------------------
-
-    def _global_fallback(
-        self,
-        graph: LocalGraph,
-        clean: Mapping[Node, str],
-        report: RobustnessReport,
-    ) -> Tuple[Dict[Node, Label], bool]:
-        """Fresh decode of the clean advice, bounded by the retry budget.
-
-        Escalation no longer assumes eventual success: each attempt that
-        errors or yields an invalid labeling burns one unit of the budget
-        and records its deterministic logical backoff; exhausting the
-        budget gives up cleanly (``report.gave_up``).
-        """
-        report.escalated = True
-        fresh = {v: clean.get(v, "") for v in graph.nodes()}
-        labeling: Dict[Node, Label] = {}
-        for attempt in range(1, self.escalate_budget + 1):
-            backoff = self.backoff_base ** (attempt - 1)
-            try:
-                with self.tracer.span(
-                    "repair", kind=GLOBAL_RESOLVE, attempt=attempt
-                ):
-                    result = self.schema.decode(graph, fresh)
-            except AdviceError as exc:
-                report.actions.append(
-                    RepairAction(
-                        GLOBAL_RESOLVE,
-                        None,
-                        -1,
-                        success=False,
-                        detail=(
-                            f"verify attempt {attempt}/{self.escalate_budget}"
-                            f" raised {type(exc).__name__}; backoff {backoff}"
-                        ),
-                    )
-                )
-                continue
-            labeling = dict(result.labeling)
-            if self._valid(graph, labeling):
-                report.actions.append(
-                    RepairAction(
-                        GLOBAL_RESOLVE, None, -1, success=True, detail="verify"
-                    )
-                )
-                return labeling, True
-            report.actions.append(
-                RepairAction(
-                    GLOBAL_RESOLVE,
-                    None,
-                    -1,
-                    success=False,
-                    detail=(
-                        f"verify attempt {attempt}/{self.escalate_budget}"
-                        f" decoded invalid; backoff {backoff}"
-                    ),
-                )
-            )
-        report.gave_up = True
-        return labeling, False

@@ -32,7 +32,7 @@ centers and repaired nodes.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..advice.bitstream import bits_to_int, int_to_bits
 from ..advice.compose import compose_chain
@@ -504,18 +504,3 @@ class DeltaColoringSchema(AdviceSchema):
         # The pipeline is a ComposedSchema chain; its generic packed-string
         # scrub is the right advice-level repair here too.
         return self._pipeline.repair_advice(graph, advice, node, radius)
-
-    def repair_advice_for_mutation(
-        self,
-        graph: LocalGraph,
-        advice: Mapping[Node, str],
-        sites: Sequence[Node],
-        radius: int,
-        labeling: Optional[Mapping[Node, object]] = None,
-    ) -> Optional[AdviceMap]:
-        # Delegate to the composed pipeline's structural hook; the
-        # maintained labeling solves Delta-coloring, not the inner stage
-        # problems, so it is intentionally not forwarded.
-        return self._pipeline.repair_advice_for_mutation(
-            graph, advice, sites, radius, None
-        )

@@ -472,32 +472,6 @@ class BalancedOrientationSchema(AdviceSchema):
             changed = True
         return patched if changed else None
 
-    def repair_advice_for_mutation(
-        self,
-        graph: LocalGraph,
-        advice: Mapping[Node, str],
-        sites: Sequence[Node],
-        radius: int,
-        labeling: Optional[Mapping[Node, object]] = None,
-    ) -> Optional[AdviceMap]:
-        """Chain the single-site anchor scrub across every mutation site.
-
-        Trail decomposition changes under churn are surfaced by the
-        verifier and healed by the ball re-solve; the advice-level job
-        here is only to keep anchor bit-strings well-formed and ensure
-        each surviving site still touches an anchor.
-        """
-        current: AdviceMap = dict(advice)
-        changed = False
-        for site in sites:
-            if not graph.graph.has_node(site):
-                continue
-            patched = self.repair_advice(graph, current, site, radius)
-            if patched is not None:
-                current = dict(patched)
-                changed = True
-        return current if changed else None
-
     def _orient_edge(
         self,
         tracker: LocalityTracker,

@@ -16,7 +16,7 @@ the color classes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import networkx as nx
 
@@ -232,32 +232,6 @@ class DeltaEdgeColoringSchema(AdviceSchema):
                 patched[u] = ""
                 changed = True
         return patched if changed else None
-
-    def repair_advice_for_mutation(
-        self,
-        graph: LocalGraph,
-        advice: Mapping[Node, str],
-        sites: Sequence[Node],
-        radius: int,
-        labeling: Optional[Mapping[Node, object]] = None,
-    ) -> Optional[AdviceMap]:
-        """Chain the packed-string scrub across every mutation site.
-
-        Note that ``total_parts`` depends on the *current* ``max_degree``;
-        after a degree-changing mutation this blanks every stale packing
-        in the affected balls, and the runner's re-encode fallback rebuilds
-        the advice at the new arity.
-        """
-        current: AdviceMap = dict(advice)
-        changed = False
-        for site in sites:
-            if not graph.graph.has_node(site):
-                continue
-            patched = self.repair_advice(graph, current, site, radius)
-            if patched is not None:
-                current = dict(patched)
-                changed = True
-        return current if changed else None
 
     def decode(self, graph: LocalGraph, advice: Mapping[Node, str]) -> DecodeResult:
         delta = graph.max_degree

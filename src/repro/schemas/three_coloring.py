@@ -427,7 +427,7 @@ class ThreeColoringSchema(AdviceSchema):
         advice: Mapping[Node, str],
         sites: Sequence[Node],
         radius: int,
-        labeling: Optional[Mapping[Node, int]] = None,
+        labeling: Mapping[Node, int],
     ) -> Optional[AdviceMap]:
         """Re-sync the advice bits near a mutation to the maintained coloring.
 
@@ -440,8 +440,6 @@ class ThreeColoringSchema(AdviceSchema):
         therefore only requires rewriting bits inside the repaired balls;
         everything else decodes verbatim (the Section 6 shift argument).
         """
-        if labeling is None:
-            return None
         patched = dict(advice)
         changed = False
         seen: Set[Node] = set()

@@ -148,7 +148,7 @@ class TwoColoringSchema(AdviceSchema):
         advice: Mapping[Node, str],
         sites,
         radius: int,
-        labeling: Optional[Mapping[Node, int]] = None,
+        labeling: Mapping[Node, int],
     ) -> Optional[AdviceMap]:
         """Re-derive the anchors near a mutation from the maintained coloring.
 
@@ -166,8 +166,6 @@ class TwoColoringSchema(AdviceSchema):
            node affected lies within ``spacing - 1`` of a site and both
            passes stay radius-bounded.
         """
-        if labeling is None:
-            return self.repair_advice(graph, advice, sites[0], radius) if sites else None
         reach = self.spacing - 1
         span = max(radius, reach)
         patched = dict(advice)

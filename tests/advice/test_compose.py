@@ -103,48 +103,13 @@ class TestCompose:
 
 
 class TestMutationRepair:
-    def test_node_deletion_patches_first_layer_and_keeps_framing(self):
-        # Under churn, the composed hook must unpack both payload layers,
-        # let the Pi_1 schema repair its slice, and re-pack without
-        # disturbing the Pi_2 layer or the pack_parts framing.
-        from repro.advice.bitstream import pack_parts, unpack_parts
-        from repro.schemas.two_coloring import TwoColoringSchema
-
-        g = LocalGraph(cycle(12), seed=3)
-        composed = compose(TwoColoringSchema(), _ShiftColoring())
-        advice = dict(composed.encode(g))
-
-        victim = 6
-        sites = g.remove_node(victim)
-        advice.pop(victim, None)
-        # Strip the Pi_1 layer so the hook has anchors to replant.
-        before_part2 = {}
-        for v in list(advice):
-            packed = advice[v]
-            part2 = unpack_parts(packed, 2)[1] if packed else ""
-            before_part2[v] = part2
-            advice[v] = pack_parts(["", part2]) if part2 else ""
-
-        patched = composed.repair_advice_for_mutation(g, advice, sites, 6, None)
-        assert patched is not None
-        replanted = False
-        for v in g.nodes():
-            packed = patched.get(v, "")
-            if not packed:
-                assert before_part2[v] == ""
-                continue
-            part1, part2 = unpack_parts(packed, 2)  # framing preserved
-            assert part2 == before_part2[v]  # Pi_2 layer untouched
-            replanted = replanted or bool(part1)
-        assert replanted  # the Pi_1 slice was actually repaired
-
     def test_corrupt_packing_near_site_is_blanked(self):
         g = LocalGraph(cycle(10), seed=1)
         composed = compose(_anchor_two_coloring(), _ShiftColoring())
         advice = dict(composed.encode(g))
         holder = next(v for v in g.nodes() if advice[v])
         advice[holder] = advice[holder][:-1]  # truncate the packing
-        patched = composed.repair_advice_for_mutation(g, advice, [holder], 2, None)
+        patched = composed.repair_advice(g, advice, holder, 2)
         assert patched is not None
         assert patched[holder] == ""
 

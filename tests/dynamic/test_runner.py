@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.advice.schema import InvalidAdvice
+from repro.advice.schema import AdviceError, InvalidAdvice
+from repro.core.api import available_schemas, default_instance, make_schema
 from repro.dynamic import ChurnRunner, Mutation, generate_mutation_plan
 from repro.dynamic.runner import ChurnError
 from repro.graphs import grid, path
@@ -109,6 +110,49 @@ class TestClassification:
         record = runner.apply(Mutation("edge-delete", u=0, v=1), full_check=True)
         assert record.classification == "absorbable"
         assert record.valid
+
+
+class TestEdgeLabeledChurn:
+    @pytest.mark.parametrize(
+        "name", ["splitting", "balanced-orientation", "delta-edge-coloring"]
+    )
+    def test_edge_reinsert_after_delete_stays_valid(self, name):
+        # Each step changes the endpoints' port count, so their per-port
+        # labels have the wrong arity until repaired; that must read as a
+        # violation, not raise out of the region check.
+        graph, kwargs = default_instance(name, 64, seed=0)
+        runner = ChurnRunner(make_schema(name, **kwargs), graph)
+        u = min(graph.nodes(), key=graph.id_of)
+        v = min(graph.neighbors(u), key=graph.id_of)
+        deleted = runner.apply(Mutation("edge-delete", u=u, v=v), full_check=True)
+        inserted = runner.apply(Mutation("edge-insert", u=u, v=v), full_check=True)
+        assert deleted.valid
+        assert inserted.valid
+
+
+class TestMutationHookContract:
+    @pytest.mark.parametrize("name", available_schemas())
+    def test_patch_on_clean_advice_decodes_valid(self, name):
+        # A mutation hook may only offer bits it re-derives from the
+        # labeling: on an unmutated instance with clean advice, any patch
+        # it returns must still cold-decode to a valid labeling.
+        graph, kwargs = default_instance(name, 64, seed=0)
+        schema = make_schema(name, **kwargs)
+        encoded = schema.encode(graph)
+        advice = {v: encoded.get(v, "") for v in graph.nodes()}
+        labeling = dict(schema.decode(graph, advice).labeling)
+        nodes = sorted(graph.nodes(), key=graph.id_of)
+        for v in nodes[:: max(1, len(nodes) // 8)]:
+            patched = schema.repair_advice_for_mutation(
+                graph, advice, [v], 2, labeling
+            )
+            if patched is None:
+                continue
+            try:
+                decoded = schema.decode(graph, dict(patched)).labeling
+            except AdviceError as exc:
+                pytest.fail(f"patch at {v!r} does not decode: {exc}")
+            assert schema.check_solution(graph, decoded), f"patch at {v!r}"
 
 
 class TestEscalation:
